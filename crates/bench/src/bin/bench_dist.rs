@@ -9,20 +9,17 @@
 //!   configuration runs `RUNS` times with the *minimum* median taken —
 //!   min-of-N is robust against one-sided scheduler noise, which used
 //!   to report nonsense negative overheads;
-//! - runs the same training with the overlap-first loop
-//!   (`--progress polled`) and reports the idle-time reduction: the
-//!   blocking loop's barrier/idle nanoseconds vs the overlapped loop's
-//!   (Fig. 10/11 shape, phase breakdown from the recording run);
-//! - checks the trained parameters are bit-identical across all four
-//!   variants (recording off/on × blocking/overlapped).
+//! - reports the cluster-total phase breakdown of one recording run
+//!   (Fig. 10/11 shape);
+//! - checks the trained parameters are bit-identical with recording
+//!   off and on.
 //!
 //! `--smoke` shrinks the dataset and epoch count for CI: the JSON is
 //! still written (to a temp path unless `--out` is given), re-parsed,
-//! and schema-validated, but the full-size idle-reduction and tight
-//! overhead gates are relaxed (tiny epochs make percentages noise).
+//! and schema-validated, but the tight overhead gate is relaxed (tiny
+//! epochs make percentages noise).
 
 use distgnn_bench::{header, millis, print_table};
-use distgnn_comm::ProgressMode;
 use distgnn_core::{build_metrics, DistConfig, DistMode, DistTrainer};
 use distgnn_graph::{Dataset, ScaledConfig};
 use distgnn_partition::{libra_partition, PartitionedGraph};
@@ -70,15 +67,11 @@ struct AlgoRow {
     median_off_ms: f64,
     median_on_ms: f64,
     overhead_pct: f64,
-    median_overlap_ms: f64,
     params_identical: bool,
-    /// Cluster-total exclusive phase time, ns, overlapped recording run.
+    /// Cluster-total exclusive phase time, ns, breakdown recording run.
     phase_ns: [u64; distgnn_telemetry::PHASE_COUNT],
-    /// Cluster-total idle (barrier) ns of the *blocking* recording run.
-    blocking_idle_ns: u64,
     comm_bytes: u64,
     retries: u64,
-    handle_ops: u64,
 }
 
 /// Median epoch time in ms, excluding the warmup prefix.
@@ -108,7 +101,7 @@ fn cluster_phase_ns(
     cfg: &DistConfig,
     run: &distgnn_core::DistRunReport,
     hub: &TelemetryHub,
-) -> ([u64; distgnn_telemetry::PHASE_COUNT], u64, u64, u64) {
+) -> ([u64; distgnn_telemetry::PHASE_COUNT], u64, u64) {
     let reg = build_metrics(cfg, run, hub);
     let k = hub.num_ranks();
     let mut phase_ns = [0u64; distgnn_telemetry::PHASE_COUNT];
@@ -121,16 +114,7 @@ fn cluster_phase_ns(
         phase_ns,
         reg.total(distgnn_telemetry::Metric::BytesSent),
         reg.total(distgnn_telemetry::Metric::RetriesAttempted),
-        reg.total(distgnn_telemetry::Metric::HandleOpsPosted),
     )
-}
-
-fn idle_of(phase_ns: &[u64; distgnn_telemetry::PHASE_COUNT]) -> u64 {
-    PHASES
-        .iter()
-        .filter(|p| p.kind() == PhaseKind::Idle)
-        .map(|&p| phase_ns[p as usize])
-        .sum()
 }
 
 fn run_algo(ds: &Dataset, pg: &PartitionedGraph, mode: DistMode, epochs: usize) -> AlgoRow {
@@ -138,11 +122,6 @@ fn run_algo(ds: &Dataset, pg: &PartitionedGraph, mode: DistMode, epochs: usize) 
     let cfg = {
         let mut c = DistConfig::new(ds, mode, k, epochs);
         c.kernel = distgnn_kernels::AggregationConfig::optimized(1);
-        c
-    };
-    let overlap_cfg = {
-        let mut c = cfg.clone();
-        c.overlap = Some(ProgressMode::Polled);
         c
     };
 
@@ -173,58 +152,40 @@ fn run_algo(ds: &Dataset, pg: &PartitionedGraph, mode: DistMode, epochs: usize) 
 
     let mut median_off_ms = f64::MAX;
     let mut median_on_ms = f64::MAX;
-    let mut median_overlap_ms = f64::MAX;
     let mut pool_off: Vec<f64> = Vec::new();
     let mut pool_on: Vec<f64> = Vec::new();
-    let (mut params_off, mut params_on, mut params_overlap) =
-        (Vec::new(), Vec::new(), Vec::new());
+    let (mut params_off, mut params_on) = (Vec::new(), Vec::new());
     for _ in 0..RUNS {
         let (off, off_epochs, p_off) = run_timed(&cfg);
         let (on, on_epochs, p_on) = run_timed_recording(&cfg);
-        let (ovl, _, p_ovl) = run_timed(&overlap_cfg);
         median_off_ms = median_off_ms.min(off);
         median_on_ms = median_on_ms.min(on);
-        median_overlap_ms = median_overlap_ms.min(ovl);
         pool_off.extend(off_epochs);
         pool_on.extend(on_epochs);
         params_off = p_off;
         params_on = p_on;
-        params_overlap = p_ovl;
     }
     let floor = |pool: &[f64]| pool.iter().copied().fold(f64::MAX, f64::min);
     let overhead_pct = (floor(&pool_on) / floor(&pool_off) - 1.0) * 100.0;
 
-    // One more recording run per loop for the phase breakdowns (the
-    // breakdown only needs one clean sample; timings above stay pure).
-    let hub_blocking = TelemetryHub::new(k, Default::default());
-    let run_blocking = DistTrainer::try_run_on_with_telemetry(ds, pg, &cfg, &hub_blocking)
-        .expect("blocking breakdown run");
-    let (blocking_phase_ns, _, _, _) = cluster_phase_ns(&cfg, &run_blocking, &hub_blocking);
+    // One more recording run for the phase breakdown (the breakdown
+    // only needs one clean sample; timings above stay pure).
+    let hub = TelemetryHub::new(k, Default::default());
+    let run = DistTrainer::try_run_on_with_telemetry(ds, pg, &cfg, &hub)
+        .expect("breakdown run");
+    let (phase_ns, comm_bytes, retries) = cluster_phase_ns(&cfg, &run, &hub);
 
-    let hub_overlap = TelemetryHub::new(k, Default::default());
-    let run_overlap =
-        DistTrainer::try_run_on_with_telemetry(ds, pg, &overlap_cfg, &hub_overlap)
-            .expect("overlapped breakdown run");
-    let (phase_ns, comm_bytes, retries, handle_ops) =
-        cluster_phase_ns(&overlap_cfg, &run_overlap, &hub_overlap);
-
-    let params_identical = params_off == params_on
-        && params_off == params_overlap
-        && params_off == run_overlap.final_params
-        && params_off == run_blocking.final_params;
+    let params_identical = params_off == params_on && params_off == run.final_params;
 
     AlgoRow {
         name: mode.name(),
         median_off_ms,
         median_on_ms,
         overhead_pct,
-        median_overlap_ms,
         params_identical,
         phase_ns,
-        blocking_idle_ns: idle_of(&blocking_phase_ns),
         comm_bytes,
         retries,
-        handle_ops,
     }
 }
 
@@ -294,17 +255,12 @@ fn validate_schema(raw: &str, expect_algos: usize) -> Result<(), String> {
     }
     for a in algos {
         a.get("algo").and_then(|x| x.as_str()).ok_or("missing algo name")?;
-        a.get("progress").and_then(|x| x.as_str()).ok_or("missing `progress`")?;
         for key in [
             "median_epoch_ms_recording_off",
             "median_epoch_ms_recording_on",
-            "median_epoch_ms_overlapped",
             "telemetry_overhead_pct",
-            "idle_reduction_pct",
             "comm_bytes",
             "retries",
-            "handle_ops_posted",
-            "blocking_idle_ns",
         ] {
             a.get(key).and_then(|x| x.as_f64()).ok_or(format!("missing number `{key}`"))?;
         }
@@ -364,26 +320,22 @@ fn main() {
     let rows: Vec<AlgoRow> = modes.iter().map(|&m| run_algo(&ds, &pg, m, epochs)).collect();
 
     print_table(
-        &["algo", "median off", "median on", "overhead", "overlapped", "idle -%", "params"],
+        &["algo", "median off", "median on", "overhead", "params"],
         &rows
             .iter()
             .map(|r| {
-                let idle = idle_of(&r.phase_ns);
-                let reduction = 100.0 * (1.0 - idle as f64 / r.blocking_idle_ns.max(1) as f64);
                 vec![
                     r.name.clone(),
                     format!("{:.2} ms", r.median_off_ms),
                     format!("{:.2} ms", r.median_on_ms),
                     format!("{:+.2}%", r.overhead_pct),
-                    format!("{:.2} ms", r.median_overlap_ms),
-                    format!("{reduction:.1}%"),
                     if r.params_identical { "bit-identical" } else { "DIVERGED" }.into(),
                 ]
             })
             .collect::<Vec<_>>(),
     );
 
-    println!("\nphase breakdown (cluster-total exclusive ms, overlapped recording run):");
+    println!("\nphase breakdown (cluster-total exclusive ms, recording run):");
     print_table(
         &["algo", "forward", "backward", "aggregate", "comm", "optimizer", "barrier"],
         &rows
@@ -441,20 +393,14 @@ fn main() {
                     PhaseKind::Io => io += r.phase_ns[p as usize],
                 }
             }
-            let reduction = 100.0 * (1.0 - idle as f64 / r.blocking_idle_ns.max(1) as f64);
             format!(
                 concat!(
                     "    {{\"algo\": \"{name}\", ",
-                    "\"progress\": \"polled\", ",
                     "\"median_epoch_ms_recording_off\": {off:.4}, ",
                     "\"median_epoch_ms_recording_on\": {on:.4}, ",
-                    "\"median_epoch_ms_overlapped\": {ovl:.4}, ",
                     "\"telemetry_overhead_pct\": {ovh:.3}, ",
                     "\"params_bit_identical\": {ident}, ",
                     "\"comm_bytes\": {bytes}, \"retries\": {retries}, ",
-                    "\"handle_ops_posted\": {handles}, ",
-                    "\"blocking_idle_ns\": {bidle}, ",
-                    "\"idle_reduction_pct\": {red:.3}, ",
                     "\"phase_ns\": {{{phases}}}, ",
                     "\"breakdown_ns\": {{\"compute\": {compute}, \"comm\": {comm}, ",
                     "\"idle\": {idle}, \"io\": {io}}}}}"
@@ -462,14 +408,10 @@ fn main() {
                 name = r.name,
                 off = r.median_off_ms,
                 on = r.median_on_ms,
-                ovl = r.median_overlap_ms,
                 ovh = r.overhead_pct,
                 ident = r.params_identical,
                 bytes = r.comm_bytes,
                 retries = r.retries,
-                handles = r.handle_ops,
-                bidle = r.blocking_idle_ns,
-                red = reduction,
                 phases = phases,
                 compute = compute,
                 comm = comm,
@@ -504,7 +446,7 @@ fn main() {
     let json_text = format!(
         concat!(
             "{{\n",
-            "  \"benchmark\": \"distributed phase breakdown + overlap + telemetry overhead\",\n",
+            "  \"benchmark\": \"distributed phase breakdown + telemetry overhead\",\n",
             "  \"command\": \"cargo run --release -p distgnn-bench --bin bench_dist\",\n",
             "  \"dataset\": {{\"name\": \"{name}\", \"vertices\": {v}, \"edges\": {e}}},\n",
             "  \"sockets\": {sockets},\n",
@@ -546,7 +488,7 @@ fn main() {
     println!("schema: ok");
 
     for r in &rows {
-        assert!(r.params_identical, "{}: loop variant perturbed training", r.name);
+        assert!(r.params_identical, "{}: recording perturbed training", r.name);
     }
     let worst = rows.iter().map(|r| r.overhead_pct).fold(f64::MIN, f64::max);
     // Tiny smoke epochs are ~ms, where a fixed per-epoch recording cost
@@ -555,20 +497,6 @@ fn main() {
     let bound = if args.smoke { 25.0 } else { 2.0 };
     println!("gate: worst telemetry overhead {worst:+.2}% (bound < {bound}%)");
     assert!(worst < bound, "telemetry overhead {worst:+.2}% breaches the {bound}% bound");
-
-    if !args.smoke {
-        let cd0 = rows.iter().find(|r| r.name == "cd-0").expect("cd-0 row");
-        let idle = idle_of(&cd0.phase_ns);
-        let reduction = 100.0 * (1.0 - idle as f64 / cd0.blocking_idle_ns.max(1) as f64);
-        println!(
-            "gate: cd-0 idle {} -> {} ns ({reduction:.1}% reduction, bound >= 40%)",
-            cd0.blocking_idle_ns, idle
-        );
-        assert!(
-            reduction >= 40.0,
-            "overlap reduced cd-0 idle by only {reduction:.1}% (< 40%)"
-        );
-    }
 
     // Compression gates. The uncompressed baseline's counters agree by
     // definition; every lossy codec must actually shrink the wire, and

@@ -2,7 +2,7 @@
 //! cluster moves.
 //!
 //! BENCH_dist.json puts cd-0 at ~115 MB/epoch against 2 MB for 0c —
-//! once overlap hides latency, *volume* is the scaling wall. This
+//! *volume* is the scaling wall. This
 //! module provides the codec layer the trainer threads through all
 //! three traffic classes:
 //!

@@ -35,11 +35,6 @@ pub struct CommStats {
     max_staleness: AtomicU64,
     staleness_violations: AtomicU64,
     stale_hist: [AtomicU64; STALE_BUCKETS],
-    // Handle-based async collectives (zero on the blocking paths).
-    handle_ops_posted: AtomicU64,
-    handle_ops_completed: AtomicU64,
-    handle_wait_ns: AtomicU64,
-    handle_overlap_ns: AtomicU64,
 }
 
 impl CommStats {
@@ -131,22 +126,6 @@ impl CommStats {
         }
     }
 
-    /// A handle-based async collective was posted.
-    pub fn record_handle_posted(&self) {
-        self.handle_ops_posted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A handle-based async collective completed at its wait point:
-    /// `wait_ns` is the time the rank actually blocked, `overlap_ns`
-    /// the post-to-wait interval the communication had to make
-    /// progress behind compute (the wait the blocking schedule would
-    /// have eaten up front).
-    pub fn record_handle_completed(&self, wait_ns: u64, overlap_ns: u64) {
-        self.handle_ops_completed.fetch_add(1, Ordering::Relaxed);
-        self.handle_wait_ns.fetch_add(wait_ns, Ordering::Relaxed);
-        self.handle_overlap_ns.fetch_add(overlap_ns, Ordering::Relaxed);
-    }
-
     pub fn bytes_sent(&self) -> u64 {
         self.bytes_sent.load(Ordering::Relaxed)
     }
@@ -181,10 +160,6 @@ impl CommStats {
             max_staleness: self.max_staleness.load(Ordering::Relaxed),
             staleness_violations: self.staleness_violations.load(Ordering::Relaxed),
             stale_hist,
-            handle_ops_posted: self.handle_ops_posted.load(Ordering::Relaxed),
-            handle_ops_completed: self.handle_ops_completed.load(Ordering::Relaxed),
-            handle_wait_ns: self.handle_wait_ns.load(Ordering::Relaxed),
-            handle_overlap_ns: self.handle_overlap_ns.load(Ordering::Relaxed),
         }
     }
 }
@@ -220,18 +195,6 @@ pub struct CommSnapshot {
     pub staleness_violations: u64,
     /// Histogram of consumed-partial ages; last bucket saturates.
     pub stale_hist: [u64; STALE_BUCKETS],
-    /// Async handle-based collectives posted. All four handle fields
-    /// stay zero on the blocking paths, so the chaos suite's
-    /// snapshot-equality proofs (which never post handles) are
-    /// unaffected by the wall-clock nanosecond fields below.
-    pub handle_ops_posted: u64,
-    /// Async handles retired at their wait point.
-    pub handle_ops_completed: u64,
-    /// Nanoseconds actually blocked inside handle waits.
-    pub handle_wait_ns: u64,
-    /// Nanoseconds between post and wait — comm progressed behind
-    /// compute; the blocking schedule would have waited this up front.
-    pub handle_overlap_ns: u64,
 }
 
 impl CommSnapshot {
@@ -344,19 +307,6 @@ mod tests {
         assert_eq!(snap.stale_hist[7], 1);
         assert_eq!(snap.stale_hist[STALE_BUCKETS - 1], 1);
         assert_eq!(snap.staleness_samples(), 4);
-    }
-
-    #[test]
-    fn handle_counters_flow_into_snapshot() {
-        let s = CommStats::new();
-        s.record_handle_posted();
-        s.record_handle_posted();
-        s.record_handle_completed(120, 480);
-        let snap = s.snapshot();
-        assert_eq!(snap.handle_ops_posted, 2);
-        assert_eq!(snap.handle_ops_completed, 1);
-        assert_eq!(snap.handle_wait_ns, 120);
-        assert_eq!(snap.handle_overlap_ns, 480);
     }
 
     #[test]

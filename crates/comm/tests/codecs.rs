@@ -37,7 +37,7 @@ fn codecs() -> Vec<WireCodec> {
 fn arb_tensor_with_specials() -> impl Strategy<Value = Vec<f32>> {
     (proptest::collection::vec(-1.0e4f32..1.0e4, 0..700), 0u64..1000).prop_map(|(mut v, seed)| {
         for (i, x) in v.iter_mut().enumerate() {
-            if (i as u64 + seed) % 13 == 0 {
+            if (i as u64 + seed).is_multiple_of(13) {
                 *x = match (i as u64 + seed) / 13 % 5 {
                     0 => f32::NAN,
                     1 => f32::INFINITY,

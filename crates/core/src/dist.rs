@@ -14,14 +14,13 @@ use crate::drpa::RankAggregator;
 use crate::model::{apply_flat_grads, GraphSage, SageConfig, SageWorkspace};
 use distgnn_comm::stats::CommSnapshot;
 use distgnn_comm::{
-    AllReduceHandle, Cluster, CommError, ErrorFeedback, FaultPlan, PendingMsg, ProgressMode,
-    RankCtx, RetryPolicy, WireCodec,
+    Cluster, CommError, ErrorFeedback, FaultPlan, PendingMsg, RankCtx, RetryPolicy, WireCodec,
 };
 use crate::elastic::{merge_cluster_state, reshard_states};
 use distgnn_graph::{Dataset, EdgeList};
 use distgnn_io::{
-    encode_train_state_mode, list_checkpoints, load_cluster_state, save_cluster_manifest,
-    save_train_state_mode, AsyncCheckpointWriter, CheckpointMode, PendingWire, TrainState,
+    list_checkpoints, load_cluster_state, save_cluster_manifest, save_train_state_mode,
+    CheckpointMode, PendingWire, TrainState,
 };
 use distgnn_kernels::AggregationConfig;
 use distgnn_nn::{Adam, AdamConfig};
@@ -105,12 +104,6 @@ pub struct DistConfig {
     pub checkpoint_every: usize,
     /// Root directory for `ckpt-<epoch>/` checkpoint directories.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Overlap-first epoch loop: post gradient AllReduces layer-by-layer
-    /// during backward, run clone-sync exchanges through the progress
-    /// engine, and hand checkpoints to a background writer. `None` (the
-    /// default) keeps the blocking loop; either mode trains to
-    /// bit-identical parameters (same reduction order, see DESIGN.md).
-    pub overlap: Option<ProgressMode>,
     /// Wire codec for compressed communication: gradient AllReduces
     /// run through error-feedback compression and DRPA exchanges ship
     /// delta-encoded payloads. [`WireCodec::None`] (the default) takes
@@ -175,7 +168,6 @@ impl DistConfig {
             retry: RetryPolicy::standard(),
             checkpoint_every: 0,
             checkpoint_dir: None,
-            overlap: None,
             codec: WireCodec::None,
             grad_codec: None,
             error_feedback: true,
@@ -421,6 +413,7 @@ impl DistTrainer {
                  through the elastic path (--elastic-resume) to merge and re-shard it",
                 states.len()
             );
+            check_residual_streams(states, config);
         }
         let start_epoch = resume.map_or(0, |s| s[0].epoch as usize);
         assert!(
@@ -452,22 +445,10 @@ impl DistTrainer {
             }
         };
 
-        // Background checkpoint writer for the overlapped loop; shared
-        // by all rank threads, drained after they join.
-        let ckpt_writer = match (&config.overlap, &config.checkpoint_dir) {
-            (Some(_), Some(dir)) if config.checkpoint_every > 0 => {
-                Some(AsyncCheckpointWriter::new(dir, k))
-            }
-            _ => None,
-        };
-
         let (results, comm) =
             Cluster::run_with_membership(k, &config.faults, recorders, config.generation, |ctx| {
             let me = ctx.rank();
             let data = &rank_data[me];
-            if let Some(mode) = config.overlap {
-                ctx.set_progress_mode(mode);
-            }
             let mut model = GraphSage::new(&config.model);
             let mut adam = Adam::new(AdamConfig {
                 weight_decay: config.weight_decay,
@@ -476,20 +457,13 @@ impl DistTrainer {
             let mut agg = RankAggregator::new(ctx, pg, config.mode, config.kernel)
                 .with_wire_precision(config.wire_precision)
                 .with_retry_policy(config.retry)
-                .with_overlap(config.overlap.is_some())
                 .with_codec(config.codec);
-            // Error-feedback streams for compressed gradient AllReduces:
-            // the blocking loop reduces one flat buffer (one residual),
-            // the overlapped loop reduces per layer (one residual each).
-            // The loss/accuracy scalars always travel uncompressed.
+            // Error-feedback stream for the compressed gradient
+            // AllReduce: one flat buffer, so one residual. The
+            // loss/accuracy scalars always travel uncompressed.
             let grad_codec = config.gradient_codec();
-            let compressing = !grad_codec.is_identity();
-            let mut efs: Vec<ErrorFeedback> = if compressing {
-                let n = if config.overlap.is_some() { model.num_layers() } else { 1 };
-                (0..n).map(|_| ErrorFeedback::new(config.error_feedback)).collect()
-            } else {
-                Vec::new()
-            };
+            let mut ef = (!grad_codec.is_identity())
+                .then(|| ErrorFeedback::new(config.error_feedback));
             if let Some(states) = resume {
                 let st = &states[me];
                 model.read_params(&st.params);
@@ -498,8 +472,8 @@ impl DistTrainer {
                 // Residuals are part of the trajectory: a resumed run
                 // that zeroed them would ship different compressed
                 // gradients than the uninterrupted run from the same
-                // epoch.
-                for (ef, r) in efs.iter_mut().zip(&st.residuals) {
+                // epoch. Their shape was checked before launch.
+                if let (Some(ef), Some(r)) = (ef.as_mut(), st.residuals.first()) {
                     ef.restore_residual(r);
                 }
                 ctx.restore_outbox(&wires_to_msgs(&st.outbox));
@@ -549,63 +523,20 @@ impl DistTrainer {
                     &mut last.grad_z,
                 );
 
-                let mut loss_buf = [loss_contrib];
-                if config.overlap.is_some() {
-                    // Overlapped: the loss AllReduce is posted before
-                    // backward even starts, and each layer's gradient
-                    // AllReduce is posted the moment that layer's
-                    // grad_weight/grad_bias are final — the reductions
-                    // progress while the remaining layers are still
-                    // differentiating, and nothing blocks until the
-                    // optimizer actually needs the sums.
-                    let loss_handle = ctx.all_reduce_sum_async(vec![loss_contrib]);
-                    let mut grad_handles: Vec<Option<AllReduceHandle>> = Vec::new();
-                    grad_handles.resize_with(model.num_layers(), || None);
-                    model.backward_into_with(&mut agg, &mut ws, |l, grads| {
-                        let w = grads.grad_weight.as_slice();
-                        let mut payload = Vec::with_capacity(w.len() + grads.grad_bias.len());
-                        payload.extend_from_slice(w);
-                        payload.extend_from_slice(&grads.grad_bias);
-                        grad_handles[l] = Some(if compressing {
-                            ctx.all_reduce_sum_compressed_async(payload, &grad_codec, &mut efs[l])
-                        } else {
-                            ctx.all_reduce_sum_async(payload)
-                        });
-                    });
-                    drop(bwd);
-                    let opt = rec.scope(Phase::Optimizer);
-                    // Waiting ascending-layer rebuilds the same flat
-                    // layout as `flatten_grads_into`; each element is
-                    // summed in ascending rank order either way, so the
-                    // update is bit-identical to the blocking loop.
-                    flat.clear();
-                    for h in &mut grad_handles {
-                        let seg = ctx.all_reduce_wait(h.take().expect("posted in backward"));
-                        flat.extend_from_slice(&seg);
-                    }
-                    loss_buf[0] = ctx.all_reduce_wait(loss_handle)[0];
-                    apply_flat_grads(&mut model, &mut adam, &flat);
-                    // The blocking loop's two AllReduces cross four
-                    // barriers here; keep the delay-visibility clock in
-                    // step so fault arithmetic stays bit-identical.
-                    ctx.advance_local_clock(4);
-                    drop(opt);
-                } else {
-                    model.backward_into(&mut agg, &mut ws);
-                    drop(bwd);
-                    // The gradient AllReduce's comm spans nest inside
-                    // Optimizer and split out via leaf attribution.
-                    let opt = rec.scope(Phase::Optimizer);
-                    ws.flatten_grads_into(&mut flat);
-                    if compressing {
-                        ctx.all_reduce_sum_compressed(&mut flat, &grad_codec, &mut efs[0]);
-                    } else {
-                        ctx.all_reduce_sum(&mut flat);
-                    }
-                    ctx.all_reduce_sum(&mut loss_buf);
-                    apply_flat_grads(&mut model, &mut adam, &flat);
-                    drop(opt);
+                model.backward_into(&mut agg, &mut ws);
+                drop(bwd);
+                // The gradient AllReduce's comm spans nest inside
+                // Optimizer and split out via leaf attribution.
+                let opt = rec.scope(Phase::Optimizer);
+                ws.flatten_grads_into(&mut flat);
+                match ef.as_mut() {
+                    Some(ef) => ctx.all_reduce_sum_compressed(&mut flat, &grad_codec, ef),
+                    None => ctx.all_reduce_sum(&mut flat),
                 }
+                let mut loss_buf = [loss_contrib];
+                ctx.all_reduce_sum(&mut loss_buf);
+                apply_flat_grads(&mut model, &mut adam, &flat);
+                drop(opt);
 
                 let (lat, rat, backward_agg) = agg.take_times();
                 epochs.push(RankEpoch {
@@ -631,50 +562,16 @@ impl DistTrainer {
                 if config.checkpoint_every > 0 && (e + 1) % config.checkpoint_every == 0 {
                     if let Some(dir) = &config.checkpoint_dir {
                         let ck = rec.scope(Phase::Checkpoint);
-                        if let Some(writer) = ckpt_writer.as_ref() {
-                            // Async snapshot: capture + encode in memory,
-                            // hand the bytes to the background writer.
-                            // The blocking protocol crosses six barriers
-                            // (skip vote, staging, vote, commit); two
-                            // stay real — capture must happen at the
-                            // same logical instant on every rank, and
-                            // no rank may resume training (consuming
-                            // in-flight tagged messages) before every
-                            // rank has captured — and the other four
-                            // become local clock advances so
-                            // delay-fault arithmetic matches.
-                            ctx.advance_local_clock(2);
-                            ctx.barrier();
-                            let state = TrainState {
-                                epoch: (e + 1) as u64,
-                                rank: me as u32,
-                                ranks: k as u32,
-                                generation: ctx.membership_generation(),
-                                params: model.write_params(),
-                                adam: adam.write_state(),
-                                drpa: agg.export_state(),
-                                outbox: msgs_to_wires(ctx.export_outbox()),
-                                residuals: efs.iter().map(|ef| ef.residual().to_vec()).collect(),
-                            };
-                            writer.submit(
-                                (e + 1) as u64,
-                                me,
-                                encode_train_state_mode(&state, ckpt_mode(config)),
-                            );
-                            ctx.barrier();
-                            ctx.advance_local_clock(2);
-                        } else {
-                            write_cluster_checkpoint(
-                                ctx,
-                                dir,
-                                (e + 1) as u64,
-                                &model,
-                                &adam,
-                                &agg,
-                                &efs,
-                                ckpt_mode(config),
-                            );
-                        }
+                        write_cluster_checkpoint(
+                            ctx,
+                            dir,
+                            (e + 1) as u64,
+                            &model,
+                            &adam,
+                            &agg,
+                            ef.as_slice(),
+                            ckpt_mode(config),
+                        );
                         drop(ck);
                     }
                 }
@@ -718,13 +615,6 @@ impl DistTrainer {
                 failure,
             }
         });
-
-        // Drain the background writer before anything (a recovery
-        // supervisor, a test) lists the checkpoint store: after this,
-        // every submitted epoch is committed or cleanly aborted.
-        if let Some(writer) = ckpt_writer {
-            let _ = writer.finish();
-        }
 
         // A collective abort leaves every rank with a failure at the
         // same epoch; surface the root cause (a concrete missing
@@ -1143,10 +1033,6 @@ pub fn build_metrics(
         rank.set(Metric::BackoffBarriers, snap.backoff_barriers);
         rank.set(Metric::MaxStaleness, snap.max_staleness);
         rank.set(Metric::StalenessViolations, snap.staleness_violations);
-        rank.set(Metric::HandleOpsPosted, snap.handle_ops_posted);
-        rank.set(Metric::HandleOpsCompleted, snap.handle_ops_completed);
-        rank.set(Metric::HandleWaitNs, snap.handle_wait_ns);
-        rank.set(Metric::HandleOverlapNs, snap.handle_overlap_ns);
         rank.set(Metric::LogicalBytesSent, snap.logical_bytes_sent);
         rank.set(Metric::LogicalBytesReceived, snap.logical_bytes_received);
         rank.set(Metric::StaleGenerationDropped, snap.stale_generation_dropped);
@@ -1171,6 +1057,31 @@ pub fn build_metrics(
         }
     }
     reg
+}
+
+/// Refuses checkpointed error-feedback residuals that do not fit the run.
+/// The trainer compresses one flat gradient stream under a gradient codec
+/// and none without one; restoring a stream of another count or length
+/// would silently drop or reset it and fork the trajectory. A stream of
+/// length 0 was never written (a single rank never compresses).
+fn check_residual_streams(states: &[TrainState], config: &DistConfig) {
+    let (streams, len) = if config.gradient_codec().is_identity() {
+        (0, 0)
+    } else {
+        (1, config.model.layer_dims().iter().map(|&(i, o)| i * o + o).sum())
+    };
+    for st in states {
+        let found: Vec<usize> = st.residuals.iter().map(Vec::len).collect();
+        assert!(
+            found.len() == streams && found.iter().all(|&n| n == len || n == 0),
+            "checkpoint rank {} carries {} error-feedback residual stream(s) of lengths {found:?} \
+             but this run expects {streams} stream(s) of length {len}: resume with the gradient \
+             codec that wrote it (per-layer streams come from the removed overlapped loop and \
+             cannot be resumed)",
+            st.rank,
+            found.len()
+        );
+    }
 }
 
 /// Newest checkpoint under `dir` that loads and validates completely; a
@@ -1541,55 +1452,6 @@ mod tests {
             })
             .sum();
         assert!(comm_ns > 0, "clone sync must record comm time");
-    }
-
-    #[test]
-    fn overlapped_loop_matches_blocking_bit_for_bit() {
-        let ds = tiny();
-        for mode in [DistMode::Oc, DistMode::Cd0, DistMode::CdR { delay: 2 }] {
-            let blocking = DistTrainer::run(&ds, &cfg(&ds, mode, 3, 4));
-            for pm in [ProgressMode::Polled, ProgressMode::Thread] {
-                let mut c = cfg(&ds, mode, 3, 4);
-                c.overlap = Some(pm);
-                let overlapped = DistTrainer::run(&ds, &c);
-                assert_eq!(
-                    blocking.final_params, overlapped.final_params,
-                    "{} diverged under {pm:?} overlap",
-                    mode.name()
-                );
-                for (b, o) in blocking.epochs.iter().zip(&overlapped.epochs) {
-                    assert_eq!(b.loss.to_bits(), o.loss.to_bits(), "loss drift in {mode:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn overlapped_loop_records_handle_metrics() {
-        let ds = tiny();
-        let mut c = cfg(&ds, DistMode::Cd0, 3, 3);
-        c.overlap = Some(ProgressMode::Polled);
-        let hub = distgnn_telemetry::TelemetryHub::new(3, Default::default());
-        let r = DistTrainer::try_run_with_telemetry(&ds, &c, &hub).unwrap();
-        let reg = build_metrics(&c, &r, &hub);
-        for rank in 0..3 {
-            let m = reg.rank(rank);
-            assert!(m.get(Metric::HandleOpsPosted) > 0, "no handle ops posted");
-            assert_eq!(
-                m.get(Metric::HandleOpsPosted),
-                m.get(Metric::HandleOpsCompleted),
-                "every posted handle must be waited"
-            );
-            assert!(m.get(Metric::HandleWaitNs) > 0);
-        }
-        // The blocking loop must not touch handle counters.
-        let blocking = DistTrainer::try_run_with_telemetry(
-            &ds,
-            &cfg(&ds, DistMode::Cd0, 3, 3),
-            &distgnn_telemetry::TelemetryHub::new(3, Default::default()),
-        )
-        .unwrap();
-        assert!(blocking.per_rank_comm.iter().all(|s| s.handle_ops_posted == 0));
     }
 
     #[test]

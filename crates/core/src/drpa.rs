@@ -238,7 +238,6 @@ pub struct RankAggregator<'a, 'b> {
     codec: WireCodec,
     codec_state: CodecState,
     retry: RetryPolicy,
-    overlap: bool,
     epoch: u64,
     /// First communication failure observed by a sync; forward/backward
     /// cannot return errors through the `Aggregator` trait, so the
@@ -286,7 +285,6 @@ impl<'a, 'b> RankAggregator<'a, 'b> {
             codec: WireCodec::None,
             codec_state: CodecState::default(),
             retry: RetryPolicy::standard(),
-            overlap: false,
             epoch: 0,
             error: None,
             lat: Duration::ZERO,
@@ -321,16 +319,6 @@ impl<'a, 'b> RankAggregator<'a, 'b> {
     /// [`RetryPolicy::none`] restores fail-fast semantics.
     pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
-        self
-    }
-
-    /// Routes the blocking clone-sync exchanges through the progress
-    /// engine (post + wait instead of the barrier-stepped collective).
-    /// Payloads and reduction order are unchanged, so results stay
-    /// bit-identical; under an active fault plan the engine falls back
-    /// to the retrying collective internally.
-    pub fn with_overlap(mut self, overlap: bool) -> Self {
-        self.overlap = overlap;
         self
     }
 
@@ -450,8 +438,7 @@ impl<'a, 'b> RankAggregator<'a, 'b> {
             DistMode::Oc => {}
             DistMode::Cd0 | DistMode::CdR { delay: 0 } => {
                 self.error = if self.codec.is_identity() {
-                    sync_blocking(self.ctx, &self.topo(), m, self.precision, &self.retry, self.overlap)
-                        .err()
+                    sync_blocking(self.ctx, &self.topo(), m, self.precision, &self.retry).err()
                 } else {
                     let topo = SyncTopo {
                         routes_out: &self.routes_out,
@@ -468,7 +455,6 @@ impl<'a, 'b> RankAggregator<'a, 'b> {
                         phases,
                         &self.codec,
                         &self.retry,
-                        self.overlap,
                     )
                     .err()
                 };
@@ -579,23 +565,14 @@ fn sync_blocking(
     m: &mut Matrix,
     prec: WirePrecision,
     retry: &RetryPolicy,
-    overlap: bool,
 ) -> Result<(), CommError> {
-    let exchange = |outgoing: Vec<Vec<f32>>| -> Result<Vec<Vec<f32>>, CommError> {
-        if overlap {
-            let handle = ctx.all_to_all_v_async(outgoing, retry);
-            ctx.all_to_all_v_wait(handle)
-        } else {
-            ctx.all_to_all_v_retry(outgoing, retry)
-        }
-    };
     let k = ctx.size();
     let d = m.cols();
     // Phase 1: leaves -> roots.
     let outgoing: Vec<Vec<f32>> = (0..k)
         .map(|p| encode(prec, gather_rows(m, &topo.routes_out[p].leaf_locals, d)))
         .collect();
-    let incoming = exchange(outgoing)?;
+    let incoming = ctx.all_to_all_v_retry(outgoing, retry)?;
     for (q, payload) in incoming.iter().enumerate() {
         let len = topo.routes_in[q].root_locals.len() * d;
         let payload = decode(prec, payload, len);
@@ -605,7 +582,7 @@ fn sync_blocking(
     let outgoing: Vec<Vec<f32>> = (0..k)
         .map(|q| encode(prec, gather_rows(m, &topo.routes_in[q].root_locals, d)))
         .collect();
-    let incoming = exchange(outgoing)?;
+    let incoming = ctx.all_to_all_v_retry(outgoing, retry)?;
     for (p, payload) in incoming.iter().enumerate() {
         let len = topo.routes_out[p].leaf_locals.len() * d;
         let payload = decode(prec, payload, len);
@@ -633,16 +610,7 @@ fn sync_blocking_delta(
     phases: (u64, u64),
     codec: &WireCodec,
     retry: &RetryPolicy,
-    overlap: bool,
 ) -> Result<(), CommError> {
-    let exchange = |outgoing: Vec<Vec<f32>>| -> Result<Vec<Vec<f32>>, CommError> {
-        if overlap {
-            let handle = ctx.all_to_all_v_async(outgoing, retry);
-            ctx.all_to_all_v_wait(handle)
-        } else {
-            ctx.all_to_all_v_retry(outgoing, retry)
-        }
-    };
     let k = ctx.size();
     let me = ctx.rank();
     let d = m.cols();
@@ -658,7 +626,7 @@ fn sync_blocking_delta(
             wire
         })
         .collect();
-    let incoming = exchange(outgoing)?;
+    let incoming = ctx.all_to_all_v_retry(outgoing, retry)?;
     for (q, payload) in incoming.iter().enumerate() {
         let len = topo.routes_in[q].root_locals.len() * d;
         let acc = state.recv_slot(phases.0, layer, q, len);
@@ -680,7 +648,7 @@ fn sync_blocking_delta(
             wire
         })
         .collect();
-    let incoming = exchange(outgoing)?;
+    let incoming = ctx.all_to_all_v_retry(outgoing, retry)?;
     for (p, payload) in incoming.iter().enumerate() {
         let len = topo.routes_out[p].leaf_locals.len() * d;
         let acc = state.recv_slot(phases.1, layer, p, len);

@@ -135,8 +135,8 @@ pub struct TrainState {
     pub drpa: DrpaState,
     pub outbox: Vec<PendingWire>,
     /// Error-feedback residuals, one buffer per compressed gradient
-    /// stream (the flat gradient for blocking runs, one per layer for
-    /// overlapped runs). Empty when no lossy codec is active. Resuming
+    /// stream (the trainer compresses one flat gradient, so one
+    /// buffer). Empty when no lossy codec is active. Resuming
     /// without these would silently drop the compression error carried
     /// forward from the checkpoint epoch, forking the trajectory.
     pub residuals: Vec<Vec<f32>>,
@@ -491,7 +491,7 @@ fn section_name(i: usize) -> String {
 /// coordinates, a section table carrying each section's length and
 /// CRC32, then the section payloads.
 pub fn save_train_state(path: &Path, state: &TrainState) -> Result<(), IoError> {
-    atomic_write(path, &encode_train_state(state))
+    save_train_state_mode(path, state, CheckpointMode::Lossless)
 }
 
 /// [`save_train_state`] with an explicit [`CheckpointMode`].
@@ -500,22 +500,12 @@ pub fn save_train_state_mode(
     state: &TrainState,
     mode: CheckpointMode,
 ) -> Result<(), IoError> {
-    atomic_write(path, &encode_train_state_mode(state, mode))
+    atomic_write(path, &encode_train_state(state, mode))
 }
 
-/// Serializes one rank's state to the checkpoint wire format without
-/// touching the filesystem. The async checkpoint writer encodes on the
-/// rank thread (cheap, deterministic) and ships the bytes to a
-/// background thread for the write+fsync (expensive, off the critical
-/// path); `encode` + [`atomic_write`] is byte-identical to
-/// [`save_train_state`].
-pub fn encode_train_state(state: &TrainState) -> Vec<u8> {
-    encode_train_state_mode(state, CheckpointMode::Lossless)
-}
-
-/// [`encode_train_state`] with an explicit [`CheckpointMode`]; the mode
+/// Serializes one rank's state to the checkpoint wire format; the mode
 /// is stamped into the header so loaders decode symmetrically.
-pub fn encode_train_state_mode(state: &TrainState, mode: CheckpointMode) -> Vec<u8> {
+fn encode_train_state(state: &TrainState, mode: CheckpointMode) -> Vec<u8> {
     let sections = [
         encode_params(&state.params, mode),
         encode_adam(&state.adam, mode),

@@ -24,7 +24,6 @@
 //! payloads carry CRC32 checksums so corruption surfaces as
 //! [`IoError::Corrupt`] instead of silently poisoned training state.
 
-pub mod async_writer;
 pub mod atomic;
 pub mod checkpoint;
 pub mod dataset;
@@ -32,14 +31,11 @@ pub mod edgelist;
 pub mod matrix;
 pub mod partition;
 
-pub use async_writer::{AsyncCheckpointWriter, CheckpointWriterReport};
 pub use atomic::{atomic_write, crc32};
 pub use checkpoint::{
-    encode_train_state, encode_train_state_mode, latest_checkpoint, list_checkpoints,
-    load_cluster_state, load_cluster_state_for, load_params, load_train_state,
-    save_cluster_manifest, save_params,
-    save_train_state, save_train_state_mode, CheckpointMode, DrpaState, PendingWire,
-    RouteCacheState, TrainState,
+    latest_checkpoint, list_checkpoints, load_cluster_state, load_cluster_state_for, load_params,
+    load_train_state, save_cluster_manifest, save_params, save_train_state, save_train_state_mode,
+    CheckpointMode, DrpaState, PendingWire, RouteCacheState, TrainState,
 };
 pub use dataset::{load_dataset, save_dataset};
 pub use edgelist::{load_edge_list, save_edge_list};

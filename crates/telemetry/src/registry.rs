@@ -38,38 +38,32 @@ pub enum Metric {
     // Recovery supervisor.
     Restarts = 14,
     EpochsReplayed = 15,
-    // Handle-based async collectives (the overlap engine; zero on the
-    // blocking paths).
-    HandleOpsPosted = 16,
-    HandleOpsCompleted = 17,
-    HandleWaitNs = 18,
-    HandleOverlapNs = 19,
     // Compressed communication: pre-codec (logical) byte volumes; the
     // plain BytesSent/BytesReceived report what crossed the wire.
-    LogicalBytesSent = 20,
-    LogicalBytesReceived = 21,
+    LogicalBytesSent = 16,
+    LogicalBytesReceived = 17,
     // Elastic membership: crashed-rank shards adopted by survivors and
     // checkpointed in-flight messages dropped at restore for carrying a
     // dead generation's stamp.
-    Adoptions = 22,
-    StaleGenerationDropped = 23,
+    Adoptions = 18,
+    StaleGenerationDropped = 19,
     // Serving (the `distgnn-serve` query engine).
-    QueriesServed = 24,
-    QueryBatches = 25,
+    QueriesServed = 20,
+    QueryBatches = 21,
     /// Final-layer aggregation-cache hits: queries answered from a row
     /// whose cached aggregate was still current.
-    ServeCacheHits = 26,
+    ServeCacheHits = 22,
     /// Queries that found a delta-invalidated row and re-aggregated it
     /// lazily before answering.
-    ServeCacheMisses = 27,
-    DeltasApplied = 28,
+    ServeCacheMisses = 23,
+    DeltasApplied = 24,
     /// Cached rows recomputed by the incremental re-aggregation engine
     /// (eager hidden-layer rows plus lazy final-layer rows).
-    RowsReaggregated = 29,
+    RowsReaggregated = 25,
 }
 
 /// Number of [`Metric`] variants.
-pub const METRIC_COUNT: usize = 30;
+pub const METRIC_COUNT: usize = 26;
 
 /// All metrics, in discriminant order.
 pub const METRICS: [Metric; METRIC_COUNT] = [
@@ -89,10 +83,6 @@ pub const METRICS: [Metric; METRIC_COUNT] = [
     Metric::KernelBytes,
     Metric::Restarts,
     Metric::EpochsReplayed,
-    Metric::HandleOpsPosted,
-    Metric::HandleOpsCompleted,
-    Metric::HandleWaitNs,
-    Metric::HandleOverlapNs,
     Metric::LogicalBytesSent,
     Metric::LogicalBytesReceived,
     Metric::Adoptions,
@@ -125,10 +115,6 @@ impl Metric {
             Metric::KernelBytes => "kernel_bytes",
             Metric::Restarts => "restarts",
             Metric::EpochsReplayed => "epochs_replayed",
-            Metric::HandleOpsPosted => "handle_ops_posted",
-            Metric::HandleOpsCompleted => "handle_ops_completed",
-            Metric::HandleWaitNs => "handle_wait_ns",
-            Metric::HandleOverlapNs => "handle_overlap_ns",
             Metric::LogicalBytesSent => "logical_bytes_sent",
             Metric::LogicalBytesReceived => "logical_bytes_received",
             Metric::Adoptions => "adoptions",

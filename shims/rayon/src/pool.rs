@@ -203,8 +203,8 @@ mod tests {
         let n = 10_000;
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
         Pool::global().dispatch(n, 7, |s, e| {
-            for i in s..e {
-                hits[i].fetch_add(1, Ordering::Relaxed);
+            for h in &hits[s..e] {
+                h.fetch_add(1, Ordering::Relaxed);
             }
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));

@@ -342,31 +342,55 @@ fn compressed_cdr_kill_and_resume_is_bit_identical() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Strengthened for the overlap-first loop: the same cd-0 drill with
-/// the overlapped epoch loop and the *async* checkpoint writer. The
-/// background writer must have committed `ckpt-6` (and drained before
-/// the supervisor lists the store), and recovery must land on the
-/// uninterrupted same-seed run's exact parameters.
+/// A compressed checkpoint whose error-feedback residuals do not match
+/// the run's streams is refused before any rank launches, naming what
+/// was found and what the run expects. The fixture splits each rank's
+/// flat residual into two streams — the per-layer shape the removed
+/// overlapped epoch loop wrote — and recommits the checkpoint with a
+/// fresh manifest so it loads as valid.
 #[test]
-fn overlapped_async_checkpoints_survive_kill_and_resume() {
-    use distgnn_suite::comm::ProgressMode;
+fn mismatched_residual_streams_fail_resume_with_found_vs_expected() {
+    use distgnn_suite::comm::WireCodec;
+    use distgnn_suite::io::{load_cluster_state, save_cluster_manifest, save_train_state};
     let ds = am(0.2);
-    let dir = scratch("overlap-cd0");
-    let mut chaos = DistConfig::new(&ds, DistMode::Cd0, 3, 12);
-    chaos.overlap = Some(ProgressMode::Polled);
-    chaos.checkpoint_every = 3;
-    chaos.checkpoint_dir = Some(dir.clone());
-    chaos.faults = FaultPlan::none().with_crash(1, 7);
+    let dir = scratch("residual-mismatch");
+    let mut cfg = DistConfig::new(&ds, DistMode::Cd0, 3, 4);
+    cfg.codec = WireCodec::Int8;
+    cfg.checkpoint_every = 2;
+    cfg.checkpoint_dir = Some(dir.clone());
+    DistTrainer::try_run(&ds, &cfg).expect("compressed prefix run");
 
-    let rec = DistTrainer::try_run_recovering(&ds, &chaos, 1, false)
-        .expect("one restart must absorb the crash with async checkpoints");
-    assert_eq!(rec.restarts, 1);
-    assert_eq!(rec.epochs_replayed, 1, "the async writer must have committed ckpt-6");
+    let (epoch, newest) = list_checkpoints(&dir).pop().expect("a committed checkpoint");
+    let mut states = load_cluster_state(&newest).expect("valid checkpoint");
+    let flat_len = states[0].residuals[0].len();
+    assert!(flat_len > 0, "a 3-rank int8 run writes its residual");
+    for st in &mut states {
+        assert_eq!(st.residuals.len(), 1, "the trainer writes one flat residual stream");
+        let tail = st.residuals[0].split_off(flat_len / 2);
+        st.residuals.push(tail);
+        save_train_state(&newest.join(format!("rank-{}.state", st.rank)), st).unwrap();
+    }
+    save_cluster_manifest(&newest, epoch, 3).unwrap();
 
-    let reference = DistTrainer::try_run(&ds, &reference_of(&chaos)).expect("reference");
-    assert_eq!(
-        rec.run.final_params, reference.final_params,
-        "async-checkpoint kill-and-resume must stay bit-identical"
+    let mut cont = cfg.clone();
+    cont.epochs = 6;
+    let msg = std::panic::catch_unwind(|| {
+        let _ = DistTrainer::try_run_recovering(&ds, &cont, 0, true);
+    })
+    .expect_err("a two-stream residual must not resume into a one-stream run");
+    let msg = msg
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| msg.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default();
+    let (a, b) = (flat_len / 2, flat_len - flat_len / 2);
+    assert!(
+        msg.contains(&format!("2 error-feedback residual stream(s) of lengths [{a}, {b}]")),
+        "should name what it found: {msg}"
+    );
+    assert!(
+        msg.contains(&format!("expects 1 stream(s) of length {flat_len}")),
+        "should name what the run expects: {msg}"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

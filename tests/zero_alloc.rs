@@ -11,6 +11,7 @@
 //! allocator observes only this test's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -18,13 +19,24 @@ use std::sync::Mutex;
 struct CountingAlloc;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
+/// While set, only the window owner's own allocations count.
+static OWNER_ONLY: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 /// Serializes the tests: the counting window is process-global.
 static WINDOW: Mutex<()> = Mutex::new(());
 
+thread_local! {
+    static WINDOW_OWNER: Cell<bool> = const { Cell::new(false) };
+}
+
+fn counted() -> bool {
+    ENABLED.load(Ordering::Relaxed)
+        && (!OWNER_ONLY.load(Ordering::Relaxed) || WINDOW_OWNER.try_with(Cell::get).unwrap_or(false))
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ENABLED.load(Ordering::Relaxed) {
+        if counted() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         System.alloc(layout)
@@ -35,7 +47,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ENABLED.load(Ordering::Relaxed) {
+        if counted() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         System.realloc(ptr, layout, new_size)
@@ -52,6 +64,19 @@ fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let out = f();
     ENABLED.store(false, Ordering::SeqCst);
     (ALLOCS.load(Ordering::SeqCst), out)
+}
+
+/// [`count_allocs`] for code that runs entirely on the calling thread.
+/// Allocations by other threads do not count: the test harness starts
+/// the next test's thread while this window may be open, and that
+/// thread allocates before it blocks on [`WINDOW`].
+fn count_own_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    WINDOW_OWNER.with(|o| o.set(true));
+    OWNER_ONLY.store(true, Ordering::SeqCst);
+    let out = count_allocs(f);
+    OWNER_ONLY.store(false, Ordering::SeqCst);
+    WINDOW_OWNER.with(|o| o.set(false));
+    out
 }
 
 #[test]
@@ -101,7 +126,7 @@ fn codec_hot_path_allocates_nothing() {
         codec.decode_into(&wire, &mut decoded);
         ef.compress(&codec, &src);
 
-        let (n, _) = count_allocs(|| {
+        let (n, _) = count_own_allocs(|| {
             for _ in 0..4 {
                 codec.encode_into(&src, &mut wire);
                 codec.decode_into(&wire, &mut decoded);
